@@ -176,41 +176,51 @@ class TimedStore(KVStore):
         self.inner.close()
 
 
-class LatencyStore(KVStore):
-    """Client-side latency of each read (``get_or_none``/``get``) and each
-    write (``put``/``delete``); scans pass through untimed."""
+#: operations between two time stamps of a replay (a few milliseconds)
+SEGMENT_OPS = 256
+
+
+class StampStore(KVStore):
+    """Passes every call through and stamps the time after every
+    ``SEGMENT_OPS``-th operation.  Replays of one trace into fresh stores
+    make the same operations in the same order, so their segments between
+    stamps hold the same work and can be compared one by one."""
 
     def __init__(self, inner: KVStore) -> None:
         self.inner = inner
-        self.read_s: list[float] = []
-        self.write_s: list[float] = []
+        self.ops = 0
+        self.stamps: list[float] = []
+
+    def _tick(self) -> None:
+        self.ops += 1
+        if self.ops % SEGMENT_OPS == 0:
+            self.stamps.append(perf_counter())
 
     def get(self, key: bytes) -> bytes:
-        start = perf_counter()
         value = self.inner.get(key)
-        self.read_s.append(perf_counter() - start)
+        self._tick()
         return value
 
     def get_or_none(self, key: bytes) -> Optional[bytes]:
-        start = perf_counter()
         value = self.inner.get_or_none(key)
-        self.read_s.append(perf_counter() - start)
+        self._tick()
         return value
 
     def has(self, key: bytes) -> bool:
-        return self.inner.has(key)
+        value = self.inner.has(key)
+        self._tick()
+        return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        start = perf_counter()
         self.inner.put(key, value)
-        self.write_s.append(perf_counter() - start)
+        self._tick()
 
     def delete(self, key: bytes) -> None:
-        start = perf_counter()
         self.inner.delete(key)
-        self.write_s.append(perf_counter() - start)
+        self._tick()
 
     def scan(self, start: bytes, end: Optional[bytes] = None):
+        self._tick()
         return self.inner.scan(start, end)
 
     def __len__(self) -> int:
@@ -218,6 +228,42 @@ class LatencyStore(KVStore):
 
     def close(self) -> None:
         self.inner.close()
+
+
+class LatencyStore(StampStore):
+    """A :class:`StampStore` that also times each read (``get_or_none``/
+    ``get``) and each write (``put``/``delete``) client-side."""
+
+    def __init__(self, inner: KVStore) -> None:
+        super().__init__(inner)
+        self.read_s: list[float] = []
+        self.write_s: list[float] = []
+
+    def get(self, key: bytes) -> bytes:
+        start = perf_counter()
+        value = self.inner.get(key)
+        self.read_s.append(perf_counter() - start)
+        self._tick()
+        return value
+
+    def get_or_none(self, key: bytes) -> Optional[bytes]:
+        start = perf_counter()
+        value = self.inner.get_or_none(key)
+        self.read_s.append(perf_counter() - start)
+        self._tick()
+        return value
+
+    def put(self, key: bytes, value: bytes) -> None:
+        start = perf_counter()
+        self.inner.put(key, value)
+        self.write_s.append(perf_counter() - start)
+        self._tick()
+
+    def delete(self, key: bytes) -> None:
+        start = perf_counter()
+        self.inner.delete(key)
+        self.write_s.append(perf_counter() - start)
+        self._tick()
 
 
 @contextmanager

@@ -8,9 +8,10 @@ per-layer numbers.  Both check their own outputs and report what failed.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from collections import Counter
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
@@ -32,11 +33,13 @@ from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 from perfbench.layers import (
     LatencyStore,
+    StampStore,
     TimedStore,
     Tracer,
     instrument_sync_driver,
     patched,
 )
+from perfbench.stats import intervals
 
 #: The `repro sync` defaults: 6,000 EOAs, 700 contracts, 24 txs a block,
 #: a 256 KiB CacheTrace budget and 60 untraced warmup blocks.
@@ -83,7 +86,11 @@ class Capture:
     genesis_s: float = 0.0
     warmup_s: float = 0.0
     window_s: float = 0.0
+    #: import_block time of each measured block
     block_s: list[float] = field(default_factory=list)
+    #: time from the end of one block import to the end of the next (plan
+    #: plus import); these add up to ``window_s``
+    block_interval_s: list[float] = field(default_factory=list)
     records: int = 0
     op_counts: dict[str, int] = field(default_factory=dict)
     head_root: bytes = b""
@@ -147,6 +154,7 @@ class _WindowClock:
         self.imported = 0
         self.genesis_end = 0.0
         self.window_start = 0.0
+        self._last_end = 0.0
         self._mark = None
         self._caches = (0, 0, 0)
         self._frozen = 0
@@ -167,6 +175,8 @@ class _WindowClock:
             self.imported += 1
             if self.imported > WARMUP_BLOCKS:
                 capture.block_s.append(end - start)
+                capture.block_interval_s.append(end - self._last_end)
+            self._last_end = end
             if self.imported == WARMUP_BLOCKS:
                 self._open(end)
             elif self.imported == WARMUP_BLOCKS + capture.blocks:
@@ -251,7 +261,10 @@ def capture(
     result.records = len(records)
     counts = Counter(record.op for record in records)
     result.op_counts = {op.name: counts.get(op, 0) for op in OpType}
-    del driver, sync_result
+    # The clock's patched methods refer back to the driver: drop all three
+    # so the store and the collector are freed before the trace write.
+    del driver, sync_result, clock
+    gc.collect()
 
     write_start = perf_counter()
     written = write_trace_v2(trace_path, records)
@@ -303,6 +316,12 @@ class Passes:
 
     records: int
     analyze_s: float = 0.0
+    #: wall time of each step of the analysis bundle
+    analyze_step_s: list[float] = field(default_factory=list)
+    #: wall time of each replay, from the call to its return, cut at the
+    #: store's time stamps (see :class:`~perfbench.layers.StampStore`)
+    memdb_segment_s: list[float] = field(default_factory=list)
+    lsm_segment_s: list[float] = field(default_factory=list)
     memdb_ops_per_s: float = 0.0
     lsm_ops_per_s: float = 0.0
     #: wall time of the analysis bundle plus both replays
@@ -324,10 +343,21 @@ class Passes:
         return cls(**data)
 
 
-def _analysis_bundle(path: Path, snapshot, tracer: Optional[Tracer]) -> TraceAnalysis:
-    """opdist, sizes, and read and update correlation, cold."""
+def _analysis_bundle(
+    path: Path, snapshot, tracer: Optional[Tracer], step_s: list[float]
+) -> TraceAnalysis:
+    """opdist, sizes, and read and update correlation, cold.  Appends the
+    wall time of each of the four steps to ``step_s``."""
     with ExitStack() as stack:
-        span = tracer.span if tracer is not None else (lambda _name: nullcontext())
+        layer_span = tracer.span if tracer is not None else (lambda _name: nullcontext())
+
+        @contextmanager
+        def span(name: str):
+            start = perf_counter()
+            with layer_span(name):
+                yield
+            step_s.append(perf_counter() - start)
+
         if tracer is not None:
             read_chunks = tracer.iterated("core.trace.read", iter)
             analyze_chunks = repro.core.parallel.analyze_chunks
@@ -381,7 +411,7 @@ def run_passes(
     result = Passes(records=records)
     mark = tracer.snapshot() if tracer is not None else None
     start = perf_counter()
-    analysis = _analysis_bundle(path, snapshot, tracer)
+    analysis = _analysis_bundle(path, snapshot, tracer, result.analyze_step_s)
     result.analyze_s = perf_counter() - start
     opdist = analysis.opdist
     if opdist.total_ops != records:
@@ -401,12 +431,17 @@ def run_passes(
         memdb = TimedStore(MemoryKVStore(), tracer, "kvstore.memdb")
         lsm = TimedStore(LSMStore(), tracer, "kvstore.lsm")
     else:
-        memdb = MemoryKVStore()
+        memdb = StampStore(MemoryKVStore())
         lsm = LatencyStore(LSMStore())
     reports = {}
     for backend, store in (("memdb", memdb), ("lsm", lsm)):
+        replay_start = perf_counter()
         report = _replay(path, backend, store, tracer)
+        replay_end = perf_counter()
         reports[backend] = report
+        if isinstance(store, StampStore):
+            segments = intervals(replay_start, store.stamps, replay_end)
+            setattr(result, f"{backend}_segment_s", segments)
         result.ops_attempted += report.total_records + report.dropped
         result.ops_failed += report.failed + report.dropped
         if report.applied != records or report.failed or report.dropped:

@@ -1,12 +1,17 @@
-"""Run-to-run spread of the end-to-end metrics over several seeds.
+"""Run-to-run spread of the end-to-end metrics.
 
     python3 perfbench/spread.py --workload sync-cache --runs 10 [--first-seed 1]
+    python3 perfbench/spread.py --workload sync-cache --runs 10 --same-seed 7
 
-Runs ``perfbench/run.py`` once per seed, one run at a time, and prints
-each end-to-end metric's median and its interquartile range as a share
-of the median, next to the metric's bound from BENCHMARK.json.  A spread
-should stay below a third of its bound.  ``--out`` appends every result
-line to a JSONL file.
+Runs the benchmark command from BENCHMARK.json ``--runs`` times, one run
+at a time, each for the file's ``run_seconds``, and prints each
+end-to-end metric's median and its interquartile range as a share of the
+median, next to the metric's bound.  A spread should stay below a third
+of its bound.  By default run ``k`` uses seed ``first-seed + k``, so the
+spread holds differences between seeds as well as host noise;
+``--same-seed`` repeats one seed, which leaves only the noise a
+comparison of two versions on one seed sees.  ``--out`` appends every
+result line to a JSONL file.
 """
 
 from __future__ import annotations
@@ -26,15 +31,19 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int)
+    parser.add_argument("--same-seed", type=int)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     if args.runs < 2:
         parser.error("--runs must be >= 2")
     spec = json.loads(Path("BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds else spec["run_seconds"]
+    seconds = spec["run_seconds"]
+    if args.same_seed is not None:
+        seeds = [args.same_seed] * args.runs
+    else:
+        seeds = list(range(args.first_seed, args.first_seed + args.runs))
     values: dict[str, list[float]] = {}
-    for seed in range(args.first_seed, args.first_seed + args.runs):
+    for seed in seeds:
         proc = subprocess.run(
             spec["command"]
             + ["--workload", args.workload, "--seed", str(seed)]

@@ -62,3 +62,27 @@ def relative_spread(values: Sequence[float]) -> float:
     """Interquartile range as a share of the median (the steadiness check)."""
     q1, _, q3 = statistics.quantiles(values, n=4)
     return (q3 - q1) / statistics.median(values)
+
+
+def elementwise_min(series: Sequence[Sequence[float]]) -> list[float]:
+    """The fastest time of each unit of work over repetitions of it.
+
+    ``series[r][i]`` is the time of unit ``i`` in repetition ``r``; every
+    repetition must hold the same units.  Slow spells of a shared host
+    last from milliseconds to tens of seconds and make work up to about
+    1.7 times slower, so the minimum over repetitions of each short unit,
+    not the repetitions' own totals, measures the program rather than the
+    host.
+    """
+    if not series:
+        raise ValueError("no repetitions")
+    lengths = {len(times) for times in series}
+    if len(lengths) != 1:
+        raise ValueError(f"repetitions differ in their units: lengths {sorted(lengths)}")
+    return [min(times) for times in zip(*series)]
+
+
+def intervals(start: float, stamps: Sequence[float], end: float) -> list[float]:
+    """The gaps between ``start``, each stamp, and ``end``."""
+    points = [start, *stamps, end]
+    return [b - a for a, b in zip(points, points[1:])]

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from perfbench.layers import LatencyStore, TimedStore, Tracer, patched
+from perfbench.layers import SEGMENT_OPS, LatencyStore, StampStore, TimedStore, Tracer, patched
 from repro.kvstore.memdb import MemoryKVStore
 
 PAUSE = 0.05
@@ -133,6 +133,23 @@ def test_latency_store_times_reads_and_writes():
     assert list(store.scan(b"")) == [(b"a", b"1")]
     assert len(store.write_s) == 2
     assert len(store.read_s) == 1
+    assert store.ops == 4
+
+
+def test_stamp_store_stamps_after_every_segment_of_operations():
+    store = StampStore(MemoryKVStore())
+    for i in range(SEGMENT_OPS):
+        store.put(i.to_bytes(4, "big"), b"v")
+    assert len(store.stamps) == 1
+    for i in range(SEGMENT_OPS - 1):
+        assert store.get_or_none(i.to_bytes(4, "big")) == b"v"
+    assert len(store.stamps) == 1
+    assert store.has(b"\0\0\0\0")  # the 2 * SEGMENT_OPS-th operation
+    assert len(store.stamps) == 2
+    store.delete(b"\0\0\0\0")
+    next(store.scan(b""))
+    assert store.ops == 2 * SEGMENT_OPS + 2
+    assert store.stamps == sorted(store.stamps)
 
 
 def test_patched_restores_the_original():

@@ -1,6 +1,6 @@
 import pytest
 
-from perfbench.stats import relative_spread, tail
+from perfbench.stats import elementwise_min, intervals, relative_spread, tail
 
 
 @pytest.mark.parametrize(
@@ -36,3 +36,21 @@ def test_tail_needs_twenty_samples():
 def test_relative_spread_is_iqr_over_median():
     assert relative_spread([10.0] * 5) == 0.0
     assert relative_spread([8.0, 9.0, 10.0, 11.0, 12.0]) == pytest.approx(0.3)
+
+
+def test_elementwise_min_takes_each_units_fastest_repetition():
+    assert elementwise_min([[3.0, 1.0, 5.0], [2.0, 4.0, 5.0]]) == [2.0, 1.0, 5.0]
+    assert elementwise_min([[1.0, 2.0]]) == [1.0, 2.0]
+
+
+def test_elementwise_min_refuses_repetitions_of_different_work():
+    with pytest.raises(ValueError):
+        elementwise_min([[1.0, 2.0], [1.0]])
+    with pytest.raises(ValueError):
+        elementwise_min([])
+
+
+def test_intervals_cover_start_to_end():
+    gaps = intervals(1.0, [1.5, 3.0], 3.25)
+    assert gaps == [0.5, 1.5, 0.25]
+    assert intervals(1.0, [], 2.0) == [1.0]
